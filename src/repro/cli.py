@@ -28,6 +28,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
+from .localsearch.engine import KERNELS
 from .tsp import generators, registry, tsplib
 
 __all__ = ["main", "resolve_instance"]
@@ -436,6 +437,13 @@ def _cmd_testbed(_args) -> int:
     return 0
 
 
+
+def _add_kernel_flag(p) -> None:
+    p.add_argument("--kernel", default=None, choices=KERNELS,
+                   help="engine kernel tier (default: REPRO_KERNEL, then "
+                        "compiled where a C compiler exists, else row); "
+                        "all tiers are bit-identical")
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -464,10 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-backend", default="process",
                    choices=("process", "inline"),
                    help="how batched kick chains execute")
-    p.add_argument("--kernel", default=None,
-                   choices=("scalar", "row", "vector"),
-                   help="engine scan-kernel tier (default: row, or "
-                        "REPRO_KERNEL); all tiers are bit-identical")
+    _add_kernel_flag(p)
     p.add_argument("--target", type=int, default=None)
     p.add_argument("--use-best-known", action="store_true",
                    help="use the registry best-known as the target")
@@ -490,10 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="how batched kick chains execute")
     p.add_argument("--kick", default="random_walk",
                    choices=["random", "geometric", "close", "random_walk"])
-    p.add_argument("--kernel", default=None,
-                   choices=("scalar", "row", "vector"),
-                   help="engine scan-kernel tier (default: row, or "
-                        "REPRO_KERNEL); all tiers are bit-identical")
+    _add_kernel_flag(p)
     p.add_argument("--target", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
@@ -528,10 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: 5%% of the total region budget)")
     p.add_argument("--kick", default="random_walk",
                    choices=["random", "geometric", "close", "random_walk"])
-    p.add_argument("--kernel", default=None,
-                   choices=("scalar", "row", "vector"),
-                   help="engine scan-kernel tier (default: row, or "
-                        "REPRO_KERNEL); all tiers are bit-identical")
+    _add_kernel_flag(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="write .tour file")
     p.add_argument("--trace", default=None,

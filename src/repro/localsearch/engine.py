@@ -32,6 +32,8 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
+from . import lkcore
+
 __all__ = [
     "DistView",
     "DontLookQueue",
@@ -44,29 +46,36 @@ __all__ = [
     "run_pipeline",
 ]
 
-#: The engine's kernel tiers, slowest to fastest reference order:
-#: ``scalar`` forces the pre-engine scalar scan loops (the reference
-#: implementation the benches compare against), ``row`` uses the
-#: row-cached nested-list fast path (the default), ``vector`` dispatches
-#: to the NumPy batch kernels in :mod:`repro.localsearch.kernels`.
-#: All three tiers select bit-identical move sequences.
-KERNELS = ("scalar", "row", "vector")
+#: The engine's kernel tiers: ``scalar`` forces the pre-engine scalar
+#: scan loops (the reference implementation the benches compare
+#: against), ``row`` uses the row-cached nested-list fast path,
+#: ``vector`` dispatches to the NumPy batch kernels in
+#: :mod:`repro.localsearch.kernels`, and ``compiled`` runs whole LK calls
+#: in the C core of :mod:`repro.localsearch.lkcore` (the other operators
+#: treat it as ``row``).  All tiers select bit-identical move sequences.
+KERNELS = ("scalar", "row", "vector", "compiled")
 
 
 def resolve_kernel(kernel: Optional[str] = None) -> str:
-    """Resolve a kernel name, defaulting via ``REPRO_KERNEL`` then ``row``.
+    """Resolve a kernel name, defaulting via ``REPRO_KERNEL``.
 
     ``None`` means "not configured": the ``REPRO_KERNEL`` environment
-    variable (the CI matrix leg's switch) supplies the default, falling
-    back to ``"row"``.  Unknown names raise so a typo cannot silently
-    select the wrong tier.
+    variable (the CI matrix leg's switch) supplies the default, and
+    without it the default is ``"compiled"`` when the C core loads and
+    ``"row"`` otherwise.  Unknown names raise so a typo cannot silently
+    select the wrong tier, and so does an explicit ``"compiled"`` that
+    cannot load (:class:`~repro.localsearch.lkcore.CompiledKernelUnavailable`).
     """
     if kernel is None:
-        kernel = os.environ.get("REPRO_KERNEL") or "row"
+        kernel = os.environ.get("REPRO_KERNEL")
+        if not kernel:
+            return "compiled" if lkcore.available() else "row"
     if kernel not in KERNELS:
         raise ValueError(
             f"unknown kernel {kernel!r}; known: {KERNELS}"
         )
+    if kernel == "compiled":
+        lkcore.require()
     return kernel
 
 

@@ -21,6 +21,10 @@ The machinery — row-cached distances, the don't-look queue, operation
 telemetry — comes from the shared engine layer
 (:mod:`repro.localsearch.engine`); candidate lists come from a pluggable
 provider (:mod:`repro.tsp.candidates`) selected by ``LKConfig.candidate_set``.
+With the ``"compiled"`` kernel (the default where a C compiler exists)
+each :meth:`LinKernighan.optimize` call runs in the C core of
+:mod:`repro.localsearch.lkcore`, a bit-identical port of the row loops
+below.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from .engine import (
     register_operator,
     resolve_kernel,
 )
+from .lkcore import LKCore
 
 __all__ = ["LKConfig", "LinKernighan", "lin_kernighan"]
 
@@ -62,10 +67,10 @@ class LKConfig:
     #: Candidate-set provider name (see
     #: :func:`repro.tsp.candidates.candidate_set_names`).
     candidate_set: str = "knn"
-    #: Scan-kernel tier (``"scalar"``/``"row"``/``"vector"``); ``None``
-    #: defers to the ``REPRO_KERNEL`` environment default.  All tiers
-    #: select bit-identical move sequences (see
-    #: :mod:`repro.localsearch.kernels`).
+    #: Kernel tier (``"scalar"``/``"row"``/``"vector"``/``"compiled"``);
+    #: ``None`` defers to the ``REPRO_KERNEL`` environment default, then
+    #: to ``"compiled"`` where the C core loads.  All tiers select
+    #: bit-identical move sequences (see docs/ALGORITHMS.md §6a).
     kernel: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -132,11 +137,16 @@ class LinKernighan:
         # instance, so the nodes of a distributed run share one copy.
         self.view = view if view is not None else DistView(instance)
         self._dist_rows = self.view.rows
-        # Kernel tier for the candidate sweep: explicit arg wins over the
-        # config knob, which wins over the REPRO_KERNEL env default.
+        # Kernel tier: explicit arg wins over the config knob, which wins
+        # over the REPRO_KERNEL env default.  The compiled core needs the
+        # dense matrix; without it the row loops run (and self.kernel
+        # says so).
         self.kernel = resolve_kernel(
             kernel if kernel is not None else self.config.kernel
         )
+        self._core: Optional[LKCore] = None
+        if self.kernel == "compiled":
+            self._bind_core()
         self._scan_rows = None if self.kernel == "scalar" else self.view.rows
         self._kc = None
         self._sweep = None
@@ -164,12 +174,23 @@ class LinKernighan:
         self.candidates = provider
         self._neighbors = provider.lists(self.instance)
         self._neighbor_rows = provider.row_lists(self.instance)
+        if self._core is not None:
+            self._bind_core()
         if self._kc is not None:
             from . import kernels as _kernels
 
             self._kc = _kernels.CandidateKernel(
                 self.instance, provider, self.view
             )
+
+    def _bind_core(self) -> None:
+        """Bind the C core to the current candidates, or fall back to
+        the row loops where it cannot serve this instance."""
+        self._core = LKCore.create(
+            self.instance, self.candidates, self.view, self.config
+        )
+        if self._core is None:
+            self.kernel = "row"
 
     # -- public API ---------------------------------------------------------
 
@@ -195,7 +216,21 @@ class LinKernighan:
         meter = meter if meter is not None else WorkMeter()
         stats = self.stats
         stats.calls += 1
+        if self._core is not None:
+            total = self._core.optimize(tour, meter, dirty, fixed, stats)
+        else:
+            total = self._optimize_rows(tour, meter, dirty, fixed)
+        stats.gain += total
+        if sanitize_enabled():
+            check_tour(tour, "lin_kernighan")
+        return total
 
+    # -- internals -----------------------------------------------------------
+
+    def _optimize_rows(self, tour: Tour, meter: WorkMeter, dirty,
+                       fixed: Optional[set]) -> int:
+        """The Python don't-look-queue loop (every tier but compiled)."""
+        stats = self.stats
         queue = self._dlq
         queue.clear()
         if dirty is None:
@@ -214,12 +249,7 @@ class LinKernighan:
                 for c in touched:
                     queue.push(c)
         stats.queue_wakeups += queue.wakeups - wakeups0
-        stats.gain += total
-        if sanitize_enabled():
-            check_tour(tour, "lin_kernighan")
         return total
-
-    # -- internals -----------------------------------------------------------
 
     def _dist(self, i: int, j: int) -> int:
         return self.view.dist(i, j)

@@ -97,8 +97,10 @@ class SolverService:
         self.store = store or InstanceStore()
         self.queue = WorkQueue(default_policy)
         self.jobs: Dict[str, JobRecord] = {}
+        # Live (non-terminal) jobs only; _finish pops both.
         self._instances: Dict[str, object] = {}  # job_id -> canonical
         self._submitted_at: Dict[str, float] = {}
+        self._live_per_digest: Dict[str, int] = {}
         self._changed: Dict[str, asyncio.Event] = {}
         self._tasks: Dict[str, asyncio.Task] = {}
         self._slice_steps = int(slice_steps)
@@ -197,6 +199,8 @@ class SolverService:
             self.jobs[job_id] = record
             self._instances[job_id] = canonical
             self._submitted_at[job_id] = time.perf_counter()
+            self._live_per_digest[digest] = (
+                self._live_per_digest.get(digest, 0) + 1)
             self._changed[job_id] = asyncio.Event()
             self.queue.push(record)
             metrics = tracer.metrics
@@ -363,9 +367,10 @@ class SolverService:
         tenant = record.spec.tenant
         record.status = status
         record.error = error
-        submitted = self._submitted_at.get(record.job_id)
+        submitted = self._submitted_at.pop(record.job_id, None)
         if submitted is not None:
             record.latency_s = time.perf_counter() - submitted
+        self._release_instance(record)
         if release:
             self.queue.release(record)
         metrics = get_tracer().metrics
@@ -381,6 +386,22 @@ class SolverService:
                           self.queue.charged(tenant), tenant=tenant)
         self._notify(record)
         self._wake.set()
+
+    def _release_instance(self, record: JobRecord) -> None:
+        """Drop the finished job's instance reference; when it was the
+        last live job on a one-off instance (never a store hit), free
+        the instance's O(n^2) caches too.  The record's result still
+        references the instance, so without the release every finished
+        one-off job would pin its dense matrix and row lists."""
+        instance = self._instances.pop(record.job_id, None)
+        if instance is None:
+            return
+        digest = record.digest
+        live = self._live_per_digest.pop(digest) - 1
+        if live:
+            self._live_per_digest[digest] = live
+        elif not self.store.served_hit(digest):
+            instance.release_caches()
 
     async def _run_job(self, record: JobRecord) -> None:
         tracer = get_tracer()

@@ -14,8 +14,10 @@ defining arrays plus everything cached on the instance so far (distance
 matrix, candidate arrays, row lists — estimated for list forms), and is
 *re-measured on every touch* because caches grow after insertion.  Under
 many-tenant traffic the unbounded per-instance cache of the batch API
-becomes a slow leak; here eviction drops the LRU instance entirely
-(its caches go with it) until the budget holds.  The newest entry is
+becomes a slow leak; here eviction drops the LRU instance entirely and
+releases its caches (:meth:`TSPInstance.release_caches`, so a job that
+still holds the instance keeps only its defining data) until the budget
+holds.  The newest entry is
 never evicted, so one oversized instance degrades the store to
 cache-nothing rather than wedging admission.
 
@@ -112,6 +114,8 @@ class InstanceStore:
             raise ValueError(f"max_bytes must be positive, got {max_bytes}")
         self.max_bytes = int(max_bytes)
         self._entries: "OrderedDict[str, object]" = OrderedDict()
+        #: Stored digests that a lookup has found at least once.
+        self._hit_digests: set = set()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -136,6 +140,7 @@ class InstanceStore:
             metrics.inc("engine.cache_misses")
             return None
         self._entries.move_to_end(digest)
+        self._hit_digests.add(digest)
         self.hits += 1
         metrics.inc("engine.cache_hits")
         return inst
@@ -154,12 +159,19 @@ class InstanceStore:
         self._evict()
         return instance, digest
 
+    def served_hit(self, digest: str) -> bool:
+        """True when ``digest`` is stored and has been found by a lookup
+        (an instance in repeat use, whose warm caches are worth keeping)."""
+        return digest in self._hit_digests
+
     def _evict(self) -> None:
         """Drop LRU entries until the (re-measured) total fits the
         budget; the most recent entry always survives."""
         metrics = get_tracer().metrics
         while len(self._entries) > 1 and self.total_bytes > self.max_bytes:
-            self._entries.popitem(last=False)
+            digest, instance = self._entries.popitem(last=False)
+            self._hit_digests.discard(digest)
+            instance.release_caches()
             self.evictions += 1
             metrics.inc("engine.cache_evictions")
 

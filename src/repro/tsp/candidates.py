@@ -121,13 +121,19 @@ class CandidateSet:
         if cached is None:
             rows = self.row_lists(instance)
             n = len(rows)
-            kmax = max((len(r) for r in rows), default=0)
-            cmat = np.zeros((n, kmax), dtype=np.int32)
-            mask = np.zeros((n, kmax), dtype=bool)
-            for i, row in enumerate(rows):
-                w = len(row)
-                cmat[i, :w] = row
-                mask[i, :w] = True
+            widths = [len(r) for r in rows]
+            kmax = max(widths, default=0)
+            if min(widths, default=0) == kmax:
+                # Equal widths (every provider but explicit uneven rows).
+                cmat = np.array(rows, dtype=np.int32).reshape(n, kmax)
+                mask = np.ones((n, kmax), dtype=bool)
+            else:
+                cmat = np.zeros((n, kmax), dtype=np.int32)
+                mask = np.zeros((n, kmax), dtype=bool)
+                for i, row in enumerate(rows):
+                    w = len(row)
+                    cmat[i, :w] = row
+                    mask[i, :w] = True
             cmat.setflags(write=False)
             mask.setflags(write=False)
             cached = (cmat, mask)

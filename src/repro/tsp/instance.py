@@ -172,6 +172,20 @@ class TSPInstance:
             self._matrix_rows = self._matrix_cache.tolist()
         return self._matrix_rows
 
+    def release_caches(self) -> None:
+        """Drop the O(n^2) and candidate caches; they rebuild lazily.
+
+        Frees the dense matrix (unless it is the defining ``EXPLICIT``
+        matrix), its row lists and every neighbour/candidate array.
+        Solvers built before the call keep the arrays they hold; the
+        next solver rebuilds identical ones.  The job service calls this
+        when a one-off instance's last job ends and on store eviction.
+        """
+        if self._matrix_cache is not self.matrix:
+            self._matrix_cache = None
+        self._matrix_rows = None
+        self._neighbor_cache.clear()
+
     # -- process-boundary transport -----------------------------------------
 
     def to_payload(self) -> dict:

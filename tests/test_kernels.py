@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.core import solve
-from repro.localsearch import LKConfig, kernels
+from repro.localsearch import LKConfig, kernels, lkcore
 from repro.localsearch.engine import (
     DistView,
     KERNELS,
@@ -193,7 +193,9 @@ class TestSanitizedVectorRuns:
 class TestKernelSelection:
     def test_resolve_kernel_defaults_and_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        assert resolve_kernel(None) == "row"
+        # The C core is the default wherever it loads; row otherwise.
+        default = "compiled" if lkcore.available() else "row"
+        assert resolve_kernel(None) == default
         assert resolve_kernel("vector") == "vector"
         monkeypatch.setenv("REPRO_KERNEL", "vector")
         assert resolve_kernel(None) == "vector"

@@ -15,6 +15,7 @@ import pytest
 
 from repro.core.node import NodeConfig
 from repro.distributed.mp_backend import run_multiprocessing
+from repro.localsearch import LKConfig
 from repro.tsp import generators
 
 
@@ -130,11 +131,17 @@ def test_killed_worker_does_not_hang_run():
     target = chained_lk(inst, max_kicks=60, rng=1).tour.length
     budget = 20.0
     t0 = time.monotonic()
+    # The kill lands 0.5 s into node 3's life, so the network must still
+    # be searching then: the Python LK keeps it busy that long, while
+    # the compiled core reaches this target sooner and node 3 would end
+    # "notified" before its crash.
+    slow_lk = LKConfig(kernel="row")
     res = run_multiprocessing(
         inst,
         budget_seconds=budget,
         n_nodes=8,
-        node_config=NodeConfig(inner_kicks=2, target_length=target),
+        node_config=NodeConfig(inner_kicks=2, target_length=target,
+                               lk_config=slow_lk),
         topology="hypercube",
         rng=3,
         kill_at={3: 0.5},

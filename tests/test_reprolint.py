@@ -210,6 +210,24 @@ class TestRPL003RawDistance:
         out = lint_snippet(tmp_path, "src/repro/localsearch/two_opt.py", src)
         assert ids_of(out) == ["RPL003", "RPL003"]
 
+    def test_lkcore_in_scope_with_matrix_ok(self, tmp_path):
+        # The compiled tier's wrapper hands view.matrix to C: matrix
+        # access passes, instance.dist still fires (fire + clean pair).
+        clean = """\
+            def bind(view, lib):
+                mat = view.matrix
+                return lib.call(mat.ctypes.data, view.matrix[0, 1])
+        """
+        out = lint_snippet(tmp_path, "src/repro/localsearch/lkcore.py",
+                           clean)
+        assert out == []
+        fire = """\
+            def bind(instance, lib):
+                return lib.call(instance.dist(0, 1))
+        """
+        out = lint_snippet(tmp_path, "src/repro/localsearch/lkcore.py", fire)
+        assert ids_of(out) == ["RPL003"]
+
     def test_matrix_ok_pyproject_override(self, tmp_path):
         (tmp_path / "pyproject.toml").write_text(textwrap.dedent("""\
             [tool.reprolint]

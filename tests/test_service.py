@@ -94,6 +94,99 @@ class TestInstanceStore:
         stats = store.stats()
         assert stats["hits"] == 1 and stats["misses"] == 1
 
+    def test_eviction_releases_caches(self):
+        store = InstanceStore(max_bytes=1)
+        first = make_instance(n=50, seed=1).materialize()
+        first.matrix_row_lists()
+        first.neighbor_lists(8)
+        store.intern(first)
+        store.intern(make_instance(n=50, seed=2))
+        assert store.evictions == 1
+        assert first._matrix_cache is None and first._matrix_rows is None
+        assert not first._neighbor_cache
+
+
+class TestCacheRelease:
+    """A finished one-off job must not pin its instance's O(n^2) caches
+    (the store, the record's result and the job table all reference the
+    instance), while an instance in repeat use keeps them warm."""
+
+    PARAMS = dict(budget_vsec_per_node=0.05, n_nodes=2, topology="ring",
+                  kick_batch_width=1, kick_batch_backend="inline")
+
+    def test_one_off_jobs_keep_little_memory(self):
+        import gc
+        import tracemalloc
+
+        async def main():
+            async with SolverService(backend="sim") as svc:
+                async def one_off(seed):
+                    inst = make_instance(n=120, seed=1000 + seed)
+                    job_id = svc.submit(inst, seed=seed, **self.PARAMS)
+                    await svc.result(job_id, timeout=60)
+
+                for seed in range(3):  # warm imports and allocator pools
+                    await one_off(seed)
+                gc.collect()
+                tracemalloc.start()
+                try:
+                    before = tracemalloc.get_traced_memory()[0]
+                    for seed in range(3, 13):
+                        await one_off(seed)
+                    gc.collect()
+                    after = tracemalloc.get_traced_memory()[0]
+                finally:
+                    tracemalloc.stop()
+                assert not svc._instances and not svc._submitted_at
+                return (after - before) / 10
+
+        assert run(main()) <= 20_000
+
+    def test_resubmitted_instance_keeps_warm_caches(self):
+        inst = make_instance(n=80, seed=5)
+
+        async def main():
+            async with SolverService(backend="sim") as svc:
+                await svc.result(svc.submit(inst, seed=1, **self.PARAMS),
+                                 timeout=60)
+                released = inst._matrix_rows is None
+                # The second submit is a store hit: caches rebuild once...
+                await svc.result(svc.submit(inst, seed=2, **self.PARAMS),
+                                 timeout=60)
+                rows = inst._matrix_rows
+                # ...and stay warm from then on.
+                await svc.result(svc.submit(inst, seed=3, **self.PARAMS),
+                                 timeout=60)
+                return released, rows, inst._matrix_rows
+
+        released, rows, rows_after = run(main())
+        assert released
+        assert rows is not None and rows_after is rows
+
+    def test_results_valid_and_bit_identical_after_release(self):
+        from repro.utils.sanitize import check_tour
+
+        inst = make_instance(n=90, seed=8)
+
+        async def main():
+            async with SolverService(backend="sim") as svc:
+                first = await svc.result(
+                    svc.submit(inst, seed=6, **self.PARAMS), timeout=60)
+                assert inst._matrix_rows is None  # released
+                second = await svc.result(
+                    svc.submit(inst, seed=7, **self.PARAMS), timeout=60)
+                return first, second
+
+        first, second = run(main())
+        for result, seed in ((first, 6), (second, 7)):
+            tour = result.best_tour
+            check_tour(tour, "released instance")
+            assert tour.recompute_length() == tour.length
+            direct = solve(make_instance(n=90, seed=8), rng=seed,
+                           **self.PARAMS)
+            assert tour.length == direct.best_tour.length
+            assert np.array_equal(tour.order, direct.best_tour.order)
+
 
 # -- work queue --------------------------------------------------------------
 

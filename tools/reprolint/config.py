@@ -92,6 +92,8 @@ DEFAULT_SCOPES: dict[str, RuleScope] = {
     # contract — but carries a documented matrix-indexing exception
     # (Config.matrix_ok below): vectorized gather over view.matrix IS
     # its job, while instance.dist stays banned there like everywhere.
+    # lkcore.py (the compiled tier's ctypes wrapper) has the same
+    # exception: it hands view.matrix to the C core as a raw buffer.
     # The boundary-repair module hosts the divide pipeline's hot loop
     # (stitching scans + the restricted 2-opt/or-opt pass), so it obeys
     # the same DistView discipline as the operator modules.
@@ -102,6 +104,7 @@ DEFAULT_SCOPES: dict[str, RuleScope] = {
             "src/repro/localsearch/three_opt.py",
             "src/repro/localsearch/lin_kernighan.py",
             "src/repro/localsearch/kernels.py",
+            "src/repro/localsearch/lkcore.py",
             "src/repro/divide/repair.py",
         ),
     ),
@@ -157,10 +160,13 @@ DEFAULT_WIRE_TYPES: dict[str, tuple[str, ...]] = {
 #: scope.  The vector kernel tier's whole purpose is batched NumPy
 #: gathers over the dense matrix (docs/ALGORITHMS.md, "Scan-kernel
 #: tiers"), so the matrix-subscript half of RPL003 would flag every
-#: line of it; the instance.dist half still applies in full.  This is a
-#: scoped, reviewable exception — not a suppression comment in the file.
+#: line of it; the instance.dist half still applies in full.  The
+#: compiled tier's wrapper passes the dense matrix to C as one buffer,
+#: so it shares the exception.  This is a scoped, reviewable exception —
+#: not a suppression comment in the file.
 DEFAULT_MATRIX_OK: tuple[str, ...] = (
     "src/repro/localsearch/kernels.py",
+    "src/repro/localsearch/lkcore.py",
 )
 
 DEFAULT_PICKLABLE_NAMES: tuple[str, ...] = (
