@@ -10,10 +10,9 @@ at the repository root: wall-clock ops/sec per operator per candidate
 set on an n=1000 geometric instance, plus the row-cached-vs-scalar
 DistView comparison that justifies the engine's fast path (the
 acceptance bar is a >= 1.5x speedup for 2-opt and Or-opt).
-``test_vector_kernel`` merges the vector-vs-row comparison at the
-default k=8 and at k=64, and ``test_clk_end_to_end_by_kernel`` an
-end-to-end CLK run per kernel tier (wall seconds, kicks per
-wall-second, identical tours).  ``test_batched_vs_serial_kicks`` merges a ``batched_kicks`` entry into
+``test_clk_end_to_end_by_kernel`` merges an end-to-end CLK run per
+kernel tier (wall seconds, kicks per wall-second, identical tours), and
+``test_batched_vs_serial_kicks`` a ``batched_kicks`` entry into
 the same file: wall clock of the batched best-of-N kick stage (width 4,
 process pool) against the serial loop doing the same number of kicks
 (the >= 1.5x acceptance bar applies on machines with >= 4 cores; on
@@ -119,12 +118,12 @@ def _kicked_starts(inst, n_tours=12, kicks=25, seed=20260805):
     return starts
 
 
-def _timed_run(op_name, starts, provider, view=None, kernel=None):
+def _timed_run(op_name, starts, provider, view=None):
     """Best-of-_REPEATS (elapsed, stats) over one pass of all starts.
 
     Every repeat works on copies of the same tours, so the work done
     (and hence the stats) is identical across repeats and across views
-    and kernels — only the wall-clock changes.
+    — only the wall-clock changes.
     """
     op = get_operator(op_name)
     best = None
@@ -134,8 +133,6 @@ def _timed_run(op_name, starts, provider, view=None, kernel=None):
         kwargs = {"candidates": provider, "stats": stats}
         if view is not None:
             kwargs["view"] = view
-        if kernel is not None:
-            kwargs["kernel"] = kernel
         t0 = time.perf_counter()
         for tour in tours:
             op(tour, **kwargs)
@@ -215,179 +212,11 @@ def test_engine_ops_per_sec(inst1000):
     emit(f"wrote {_BENCH_JSON.name}")
 
 
-def _scan_counts_row(tour, nbr_rows, rows):
-    """Reference-loop full-width forward scans: improving-move count.
-
-    One pass = for every city ``a`` (with tour successor ``b``), evaluate
-    the 2-opt gain of *all* of ``a``'s candidates — the work a wide miss
-    scan does in the reference row loop, with the same inner body.
-    """
-    n = tour.n
-    order, position = tour.order, tour.position
-    pos_item, order_item = position.item, order.item
-    hits = 0
-    for a in range(n):
-        da = rows[a]
-        p = pos_item(a) + 1
-        b = order_item(p if p < n else 0)
-        d_ab = da[b]
-        db = rows[b]
-        for c in nbr_rows[a]:
-            if c == b:
-                continue
-            p = pos_item(c) + 1
-            d_city = order_item(p if p < n else 0)
-            if d_city == a:
-                continue
-            if da[c] + db[d_city] - d_ab - rows[c][d_city] < 0:
-                hits += 1
-    return hits
-
-
-def _scan_counts_vector(tour, kc, mat, rows):
-    """Vector-kernel full-width forward scans: improving-move count.
-
-    Same batch evaluation as ``kernels.two_opt_vector``'s wide tail
-    (successor gather, flat-matrix candidate gather, int64 gain), one
-    launch per city.  ``c == b`` and ``d_city == a`` entries evaluate to
-    exactly zero gain on a symmetric instance, so the strict ``< 0``
-    excludes them just as the reference's skips do; padded slots carry a
-    huge sentinel distance and can never count.
-    """
-    import numpy as np
-
-    n = tour.n
-    order, position = tour.order, tour.position
-    cmat, cd, cmn, mat_flat = kc.cmat, kc.cd, kc.cmn, kc.mat_flat
-    step_f = 1 - n
-    hits = 0
-    for a in range(n):
-        cpos = position[cmat[a]]
-        d_city = order[cpos + step_f]
-        b = order.item(position.item(a) + step_f)
-        part = cd[a] + mat[b][d_city]
-        part -= mat_flat[cmn[a] + d_city]
-        hits += int(np.count_nonzero(part < rows[a][b]))
-    return hits
-
-
-@pytest.mark.parametrize("k", [8, 64])
-def test_vector_kernel(inst1000, k):
-    """Vector-vs-row: end-to-end operators and the scan primitive.
-
-    End-to-end, the hybrid vector tier must match the row path's move
-    sequence exactly (engine_ops equality is asserted) and wins where
-    scans evaluate whole candidate rows (Or-opt has no distance break, so
-    wide-k misses cost the full row scalar).  First-improvement 2-opt
-    descent is hit-dominated — improving candidates cluster at the head
-    of the distance-sorted rows — so its end-to-end number is recorded
-    but the acceptance bar lives on the scan primitive: one full-width
-    batch gain evaluation against the same loop the reference runs,
-    which is the work a wide miss scan performs.
-
-    Measured at the default candidate width (k=8, recorded only) and at
-    k=64, where the vector tier's acceptance bars apply.
-    """
-    inst = inst1000
-    starts = _kicked_starts(inst)
-    provider = get_candidate_set("knn", k=k)
-    provider.row_lists(inst)
-    view = DistView(inst)
-
-    from repro.localsearch.kernels import CandidateKernel
-
-    kc = CandidateKernel(inst, provider, view)  # build outside timing
-    entry = {
-        "k": k,
-        "workload": f"{len(starts)} quick-Boruvka tours + 25 kicks each",
-    }
-
-    print_banner(
-        "Vector kernel vs row path",
-        f"n={inst.n}, knn k={k}, best of {_REPEATS} passes",
-    )
-    for op_name in ("two_opt", "or_opt"):
-        t_row, s_row = _timed_run(
-            op_name, starts, provider, view=view, kernel="row"
-        )
-        t_vec, s_vec = _timed_run(
-            op_name, starts, provider, view=view, kernel="vector"
-        )
-        # Bit-identical move sequences -> identical work accounting.
-        assert _engine_ops(s_row) == _engine_ops(s_vec)
-        assert s_row.gain == s_vec.gain
-        speedup = t_row / t_vec
-        entry[op_name] = {
-            "row_ops_per_sec": round(_engine_ops(s_row) / t_row, 1),
-            "vector_ops_per_sec": round(_engine_ops(s_vec) / t_vec, 1),
-            "speedup": round(speedup, 2),
-        }
-        emit(f"  {op_name:9s} row {_engine_ops(s_row) / t_row:12,.0f} ops/s"
-             f"   vector {_engine_ops(s_vec) / t_vec:12,.0f} ops/s"
-             f"   speedup {speedup:.2f}x")
-    if k < 64:
-        _merge_vector_entry(k, entry)
-        return
-    assert entry["or_opt"]["speedup"] >= 1.5, (
-        f"or_opt: vector kernel only {entry['or_opt']['speedup']:.2f}x"
-    )
-    # The hybrid routes hit-dominated scans to the reference loop, so
-    # end-to-end 2-opt must never fall meaningfully behind the row path.
-    assert entry["two_opt"]["speedup"] >= 0.7, (
-        f"two_opt: hybrid fell behind row path "
-        f"({entry['two_opt']['speedup']:.2f}x)"
-    )
-
-    rows = view.rows
-    nbr_rows = provider.row_lists(inst)
-    mat = view.matrix
-    scan_tours = starts[:4]
-    n_scans = len(scan_tours) * inst.n
-    best_row = best_vec = None
-    for _ in range(_REPEATS):
-        t0 = time.perf_counter()
-        hits_row = sum(
-            _scan_counts_row(t, nbr_rows, rows) for t in scan_tours
-        )
-        el = time.perf_counter() - t0
-        best_row = el if best_row is None else min(best_row, el)
-        t0 = time.perf_counter()
-        hits_vec = sum(
-            _scan_counts_vector(t, kc, mat, rows) for t in scan_tours
-        )
-        el = time.perf_counter() - t0
-        best_vec = el if best_vec is None else min(best_vec, el)
-        assert hits_row == hits_vec
-    scan_speedup = best_row / best_vec
-    entry["two_opt_scan"] = {
-        "scans": n_scans,
-        "row_scans_per_sec": round(n_scans / best_row, 1),
-        "vector_scans_per_sec": round(n_scans / best_vec, 1),
-        "speedup": round(scan_speedup, 2),
-    }
-    emit(f"  two_opt full-width scan primitive: row "
-         f"{n_scans / best_row:10,.0f} scans/s   vector "
-         f"{n_scans / best_vec:10,.0f} scans/s   "
-         f"speedup {scan_speedup:.2f}x")
-    assert scan_speedup >= 1.5, (
-        f"two_opt scan primitive: vector only {scan_speedup:.2f}x"
-    )
-
-    _merge_vector_entry(k, entry)
-
-
-def _merge_vector_entry(k: int, entry: dict) -> None:
-    report = json.loads(_BENCH_JSON.read_text()) if _BENCH_JSON.exists() else {}
-    report.setdefault("vector_vs_row", {})[f"k{k}"] = entry
-    _BENCH_JSON.write_text(json.dumps(report, indent=1) + "\n")
-    emit(f"merged vector_vs_row k={k} into {_BENCH_JSON.name}")
-
-
 def test_clk_end_to_end_by_kernel():
     """End-to-end CLK per kernel tier on the paper-style workload.
 
     ``ChainedLK.run`` at 10 vsec (random-walk kicks, free init, default
-    k=8 candidates) on ``clustered(1000, rng=7)``: every tier must end
+    k=8 candidates) on ``clustered(1000, rng=7)``: both tiers must end
     with the identical tour, kick count and OpStats; only the wall
     clock may differ.  Records wall seconds and kicks per wall-second
     per tier.

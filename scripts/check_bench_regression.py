@@ -9,10 +9,11 @@ Both files are ``BENCH_ci.json`` documents from
 more than ``--max-slowdown`` below the baseline; for ``lower``
 (durations) it must not rise more than that above it.  A metric present
 in the baseline but missing from the current run fails too — silently
-dropping a measurement must not pass the gate.  Exit status 1 on any
-regression, 0 otherwise; ``check`` values (tour lengths, message
-counts) are reported when they drift but do not gate, since they track
-determinism, not speed.
+dropping a measurement must not pass the gate.  ``check`` values (tour
+lengths, message counts) must equal the baseline exactly: they are
+functions of seeds and virtual time only, so any drift — including a
+check missing from the current run — is a determinism break and fails.
+Exit status 1 on any regression or drift, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -84,16 +85,20 @@ def main(argv=None) -> int:
 
     base_checks = baseline.get("checks") or {}
     cur_checks = current.get("checks") or {}
+    drifted = False
     for name, base in sorted(base_checks.items()):
         cur = cur_checks.get(name)
         if cur != base:
-            print(f"  note {name}: {base} -> {cur} "
-                  "(determinism drift, not gated)")
+            print(f"  FAIL {name}: {base} -> {cur} (determinism drift)")
+            drifted = True
 
     if failed:
         print("REGRESSION: at least one metric exceeded the slowdown gate")
+    if drifted:
+        print("DRIFT: at least one check differs from the baseline")
+    if failed or drifted:
         return 1
-    print("all gated metrics within tolerance")
+    print("all gated metrics within tolerance, all checks equal")
     return 0
 
 

@@ -13,9 +13,9 @@ in ``benchmarks/baselines/`` is comparable across machines.
 
 ``scripts/check_bench_regression.py`` compares the output against that
 baseline and fails CI on a >15% slowdown.  Tour qualities are recorded
-too, but as ``check`` values, not gated metrics: they are functions of
-virtual time and seeds only, so a change there is a determinism break,
-not a performance regression.
+too, as ``check`` values that must equal the baseline exactly: they are
+functions of virtual time and seeds only, so a change there is a
+determinism break, not noise.
 """
 
 from __future__ import annotations
@@ -75,17 +75,16 @@ def _kicked_starts(inst):
     return starts
 
 
-def _ops_per_sec(op_name, starts, provider, kernel=None):
+def _ops_per_sec(op_name, starts, provider):
     """Best-of-repeats (ops/sec, stats) for one operator over starts."""
     op = get_operator(op_name)
-    kwargs = {} if kernel is None else {"kernel": kernel}
     best = None
     for _ in range(_REPEATS):
         tours = [t.copy() for t in starts]
         stats = OpStats()
         t0 = time.perf_counter()
         for tour in tours:
-            op(tour, candidates=provider, stats=stats, **kwargs)
+            op(tour, candidates=provider, stats=stats)
         elapsed = time.perf_counter() - t0
         if best is None or elapsed < best[0]:
             best = (elapsed, stats)
@@ -131,25 +130,6 @@ def main(argv=None) -> int:
         }
         print(f"engine {op_name:8s} {rate:12,.0f} ops/s local, "
               f"{norm:12,.0f} ops/ref-s")
-    # Vector-kernel leg: Or-opt is where batching wins end to end (its
-    # scans have no distance break), so its vector rate is the gated
-    # metric; the row-vs-vector gain equality rides along as a
-    # determinism check (all tiers are bit-identical by contract).
-    row_rate, row_stats = _ops_per_sec("or_opt", starts, provider,
-                                       kernel="row")
-    vec_rate, vec_stats = _ops_per_sec("or_opt", starts, provider,
-                                       kernel="vector")
-    norm = vec_rate / factor.factor
-    metrics["engine.or_opt_knn_vector_ops_per_ref_sec"] = {
-        "value": round(norm, 1),
-        "direction": "higher",
-    }
-    checks["engine_or_opt_vector_gain_matches_row"] = bool(
-        vec_stats.gain == row_stats.gain
-        and _engine_ops(vec_stats) == _engine_ops(row_stats)
-    )
-    print(f"engine or_opt vector {vec_rate:12,.0f} ops/s local, "
-          f"{norm:12,.0f} ops/ref-s ({vec_rate / row_rate:.2f}x row)")
 
     # -- fig2-style pair: CLK vs DistCLK, equal total budget ------------
     from repro.core import solve

@@ -442,7 +442,7 @@ def _add_kernel_flag(p) -> None:
     p.add_argument("--kernel", default=None, choices=KERNELS,
                    help="engine kernel tier (default: REPRO_KERNEL, then "
                         "compiled where a C compiler exists, else row); "
-                        "all tiers are bit-identical")
+                        "both tiers are bit-identical")
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(

@@ -62,9 +62,9 @@ def solve(
     node's inner kicks into batched best-of-N stages
     (:meth:`repro.localsearch.ChainedLK.step_batch`); virtual-time
     accounting is unchanged, only wall clock improves.  ``kernel``
-    selects the engine scan tier (``"scalar"``/``"row"``/``"vector"``)
-    on every node; all tiers are bit-identical, so results do not
-    change.  It overrides ``lk_config.kernel`` when both are given.
+    selects the engine tier (``"row"``/``"compiled"``) on every node;
+    both tiers are bit-identical, so results do not change.  It
+    overrides ``lk_config.kernel`` when both are given.
 
     ``divide`` switches to the divide-and-optimize pipeline for large
     instances: pass a :class:`repro.divide.DivideConfig` (or ``True``

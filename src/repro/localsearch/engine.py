@@ -46,14 +46,13 @@ __all__ = [
     "run_pipeline",
 ]
 
-#: The engine's kernel tiers: ``scalar`` forces the pre-engine scalar
-#: scan loops (the reference implementation the benches compare
-#: against), ``row`` uses the row-cached nested-list fast path,
-#: ``vector`` dispatches to the NumPy batch kernels in
-#: :mod:`repro.localsearch.kernels`, and ``compiled`` runs whole LK calls
-#: in the C core of :mod:`repro.localsearch.lkcore` (the other operators
-#: treat it as ``row``).  All tiers select bit-identical move sequences.
-KERNELS = ("scalar", "row", "vector", "compiled")
+#: The engine's kernel tiers: ``row`` is the Python reference (the
+#: row-cached nested-list scan loops), and ``compiled`` runs whole LK
+#: calls in the C core of :mod:`repro.localsearch.lkcore` (the other
+#: operators treat it as ``row``).  Both select bit-identical move
+#: sequences.  Instances without a dense matrix (``DistView.rows is
+#: None``) run each operator's scalar loops, whatever the tier.
+KERNELS = ("row", "compiled")
 
 
 def resolve_kernel(kernel: Optional[str] = None) -> str:
@@ -94,9 +93,9 @@ class DistView:
 
     def __init__(self, instance, prefer_rows: bool = True):
         self.rows = instance.matrix_row_lists() if prefer_rows else None
-        #: Dense int64 matrix for vectorized gathers, or ``None`` when it
-        #: is not affordable (the gathers then fall back to coordinate
-        #: math via the instance).
+        #: Dense int64 matrix (the compiled core's input and
+        #: :meth:`gather`'s fast path), or ``None`` when it is not
+        #: affordable.
         self.matrix = instance.dense_matrix() if prefer_rows else None
         # The scalar closure is bound even when rows exist so benches can
         # compare both paths on one instance.
@@ -119,20 +118,13 @@ class DistView:
         """Vectorized distances from ``i`` to index array ``js`` (int64).
 
         Matrix fancy-indexing when the dense matrix exists, coordinate
-        math otherwise — always int64 either way, so gain arithmetic in
-        the vector kernels cannot overflow int32.
+        math otherwise — always int64 either way, so gain arithmetic
+        cannot overflow int32.
         """
         m = self.matrix
         if m is not None:
             return m[i, js]
         return self._inst.dist_many(i, np.asarray(js, dtype=np.intp))
-
-    def gather_pairs(self, is_, js) -> np.ndarray:
-        """Elementwise distances ``d(is_[t], js[t])`` (int64 array)."""
-        m = self.matrix
-        if m is not None:
-            return m[is_, js]
-        return self._inst.dist_pairs(is_, js)
 
 
 class DontLookQueue:
@@ -350,8 +342,8 @@ def run_pipeline(tour, names: Iterable[str], candidates=None, meter=None,
     pipeline.  One shared :class:`DistView` is built up front and passed
     to every operator (unless the caller supplies ``view=``), so the
     pipeline resolves the row/matrix caches once instead of per operator.
-    ``kernel`` selects the scan-loop tier for the whole pipeline (see
-    :data:`KERNELS` / :func:`resolve_kernel`); all tiers produce
+    ``kernel`` selects the tier for the whole pipeline (see
+    :data:`KERNELS` / :func:`resolve_kernel`); both tiers produce
     bit-identical tours, stats, and meter charges.  Extra keyword
     arguments are forwarded to every operator.
 

@@ -67,10 +67,10 @@ class LKConfig:
     #: Candidate-set provider name (see
     #: :func:`repro.tsp.candidates.candidate_set_names`).
     candidate_set: str = "knn"
-    #: Kernel tier (``"scalar"``/``"row"``/``"vector"``/``"compiled"``);
-    #: ``None`` defers to the ``REPRO_KERNEL`` environment default, then
-    #: to ``"compiled"`` where the C core loads.  All tiers select
-    #: bit-identical move sequences (see docs/ALGORITHMS.md §6a).
+    #: Kernel tier (``"row"``/``"compiled"``); ``None`` defers to the
+    #: ``REPRO_KERNEL`` environment default, then to ``"compiled"`` where
+    #: the C core loads.  Both tiers select bit-identical move sequences
+    #: (see docs/ALGORITHMS.md §6a).
     kernel: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -147,16 +147,6 @@ class LinKernighan:
         self._core: Optional[LKCore] = None
         if self.kernel == "compiled":
             self._bind_core()
-        self._scan_rows = None if self.kernel == "scalar" else self.view.rows
-        self._kc = None
-        self._sweep = None
-        if self.kernel == "vector":
-            from . import kernels as _kernels
-
-            self._kc = _kernels.CandidateKernel(
-                instance, self.candidates, self.view
-            )
-            self._sweep = _kernels.lk_sweep
 
     # -- candidate-list access -----------------------------------------------
 
@@ -176,12 +166,6 @@ class LinKernighan:
         self._neighbor_rows = provider.row_lists(self.instance)
         if self._core is not None:
             self._bind_core()
-        if self._kc is not None:
-            from . import kernels as _kernels
-
-            self._kc = _kernels.CandidateKernel(
-                self.instance, provider, self.view
-            )
 
     def _bind_core(self) -> None:
         """Bind the C core to the current candidates, or fall back to
@@ -229,7 +213,7 @@ class LinKernighan:
 
     def _optimize_rows(self, tour: Tour, meter: WorkMeter, dirty,
                        fixed: Optional[set]) -> int:
-        """The Python don't-look-queue loop (every tier but compiled)."""
+        """The Python don't-look-queue loop (the row tier)."""
         stats = self.stats
         queue = self._dlq
         queue.clear()
@@ -301,15 +285,7 @@ class LinKernighan:
         Yields at most ``breadth`` pairs ordered by the lookahead score
         ``g_open - d(u, v) + d(v, w)``.
         """
-        if self._kc is not None:
-            out, scanned = self._sweep(
-                self._kc, tour, t1, u, g_open, removed, added, breadth,
-                fixed,
-            )
-            meter.tick(scanned)
-            self.stats.candidate_scans += scanned
-            return out
-        rows = self._scan_rows
+        rows = self._dist_rows
         du = rows[u] if rows is not None else None
         dist = None if du is not None else self.view.dist
         forward = tour.next(t1) == u

@@ -37,10 +37,10 @@ def or_opt(tour: Tour, neighbor_k: int = 8, max_seg: int = 3,
     First-improvement over segment lengths 1..max_seg, insertion points
     drawn from the candidate lists of the segment's first city
     (``candidates`` as in :func:`repro.localsearch.two_opt.two_opt`;
-    default k-NN of width ``neighbor_k``).  ``kernel`` selects the scan
-    implementation as in :func:`~repro.localsearch.two_opt.two_opt`.
+    default k-NN of width ``neighbor_k``).  ``kernel`` names the engine
+    tier as in :func:`~repro.localsearch.two_opt.two_opt`.
     """
-    kernel = resolve_kernel(kernel)
+    resolve_kernel(kernel)  # rejects unknown tiers
     inst = tour.instance
     n = tour.n
     if max_seg >= n - 2:
@@ -52,14 +52,8 @@ def or_opt(tour: Tour, neighbor_k: int = 8, max_seg: int = 3,
         else KNNCandidates(min(neighbor_k, n - 1))
     )
     view = view if view is not None else DistView(inst)
-    if kernel == "vector":
-        from . import kernels
-
-        return kernels.or_opt_vector(
-            tour, provider, view, meter, stats, max_seg=max_seg
-        )
     neighbor_rows = provider.row_lists(inst)
-    rows = view.rows if kernel != "scalar" else None
+    rows = view.rows
     dist = view.dist
 
     queue = DontLookQueue(n)

@@ -83,10 +83,8 @@ def three_opt(tour: Tour, neighbor_k: int = 6,
     O(n * k^2) per sweep — noticeably slower than LK for the same
     quality, which is precisely the comparison the bench draws.
 
-    ``kernel`` is forwarded to the embedded 2-opt passes; the triple scan
-    itself has no vector tier (its inner loop is dominated by tour
-    bookkeeping, not gain evaluation), so ``"vector"`` runs it on the row
-    path — identical by the kernel contract.
+    ``kernel`` is forwarded to the embedded 2-opt passes; 3-opt has no
+    compiled loop, so both tiers run the row loops.
     """
     from .two_opt import two_opt
 
@@ -103,7 +101,7 @@ def three_opt(tour: Tour, neighbor_k: int = 6,
     )
     neighbor_rows = provider.row_lists(inst)
     view = view if view is not None else DistView(inst)
-    rows = view.rows if kernel != "scalar" else None
+    rows = view.rows
     dist = view.dist
 
     def d(i, j):

@@ -36,12 +36,12 @@ def two_opt(tour: Tour, neighbor_k: int = 8, meter: WorkMeter | None = None,
     :class:`~repro.tsp.candidates.CandidateSet`, registry name, or raw
     array; the default is plain k-NN of width ``neighbor_k``.  ``view``
     overrides the distance access (benchmarks use this to compare the
-    row-cached and scalar paths).  ``kernel`` selects the scan
-    implementation (``"scalar"``/``"row"``/``"vector"``, default via
-    :func:`~repro.localsearch.engine.resolve_kernel`); all three tiers
-    select bit-identical move sequences.
+    row-cached and scalar paths).  ``kernel`` names the engine tier
+    (``"row"``/``"compiled"``, default via
+    :func:`~repro.localsearch.engine.resolve_kernel`); 2-opt has no
+    compiled loop, so both run the row loops.
     """
-    kernel = resolve_kernel(kernel)
+    resolve_kernel(kernel)  # rejects unknown tiers
     inst = tour.instance
     n = tour.n
     meter = meter if meter is not None else WorkMeter()
@@ -51,12 +51,8 @@ def two_opt(tour: Tour, neighbor_k: int = 8, meter: WorkMeter | None = None,
         else KNNCandidates(min(neighbor_k, n - 1))
     )
     view = view if view is not None else DistView(inst)
-    if kernel == "vector":
-        from . import kernels
-
-        return kernels.two_opt_vector(tour, provider, view, meter, stats)
     neighbor_rows = provider.row_lists(inst)
-    rows = view.rows if kernel != "scalar" else None
+    rows = view.rows
     dist = view.dist
 
     queue = DontLookQueue(n)

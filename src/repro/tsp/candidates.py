@@ -30,6 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..utils.sanitize import check_candidate_rows, sanitize_enabled
+from .neighbors import sort_by_distance
 
 __all__ = [
     "CandidateSet",
@@ -109,7 +110,7 @@ class CandidateSet:
     def matrix(self, instance) -> tuple:
         """Padded ``(n, kmax)`` int32 candidate matrix plus validity mask.
 
-        The contiguous-array form the vectorized kernels consume.  Built
+        The contiguous-array form the compiled LK core consumes.  Built
         from :meth:`row_lists` so the two forms always agree row for row
         (including providers with uneven row widths); row ``i``'s first
         ``len(row_lists[i])`` entries are valid (``mask[i, j] = True``),
@@ -142,12 +143,6 @@ class CandidateSet:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(k={self.k})"
-
-
-def _sorted_by_distance(instance, i: int, cand: np.ndarray) -> np.ndarray:
-    """Row sorted by instance distance, ties by city index."""
-    d = instance.dist_many(i, cand)
-    return cand[np.lexsort((cand, d))]
 
 
 class KNNCandidates(CandidateSet):
@@ -227,7 +222,7 @@ class AlphaCandidates(CandidateSet):
         )
         out = np.empty_like(rows)
         for i in range(rows.shape[0]):
-            out[i] = _sorted_by_distance(instance, i, rows[i])
+            out[i] = sort_by_distance(instance, i, rows[i])
         return out
 
 
@@ -267,7 +262,7 @@ class ExplicitCandidates(CandidateSet):
             return self.array.copy()
         out = np.empty_like(self.array)
         for i in range(self.array.shape[0]):
-            out[i] = _sorted_by_distance(instance, i, self.array[i])
+            out[i] = sort_by_distance(instance, i, self.array[i])
         return out
 
 

@@ -27,7 +27,6 @@ __all__ = [
     "geo",
     "pairwise_matrix",
     "row_distances",
-    "pair_distances",
     "distance_closure",
 ]
 
@@ -148,34 +147,6 @@ def row_distances(
         raise ValueError(f"unsupported edge weight type: {edge_weight_type!r}") from None
     dx = coords[i, 0] - coords[js, 0]
     dy = coords[i, 1] - coords[js, 1]
-    return fn(dx, dy)
-
-
-def pair_distances(
-    coords: np.ndarray,
-    is_: np.ndarray,
-    js: np.ndarray,
-    edge_weight_type: str = "EUC_2D",
-) -> np.ndarray:
-    """Elementwise distances ``d(is_[t], js[t])`` without the matrix.
-
-    The gather primitive behind ``DistView.gather_pairs`` on instances
-    too large for a dense matrix: the vectorized kernels need distances
-    for arbitrary (city, city) pairs, not just one city's row.  Always
-    returns int64 (the rounding helpers do), so downstream gain
-    arithmetic cannot overflow int32 on large-coordinate instances.
-    """
-    coords = _as_coords(coords)
-    is_ = np.asarray(is_, dtype=np.intp)
-    js = np.asarray(js, dtype=np.intp)
-    if edge_weight_type == "GEO":
-        return geo(coords[is_], coords[js])
-    try:
-        fn = _PLANAR[edge_weight_type]
-    except KeyError:
-        raise ValueError(f"unsupported edge weight type: {edge_weight_type!r}") from None
-    dx = coords[is_, 0] - coords[js, 0]
-    dy = coords[is_, 1] - coords[js, 1]
     return fn(dx, dy)
 
 

@@ -89,13 +89,19 @@ class TestMainExitCodes:
         out = capsys.readouterr().out
         assert "FAIL" in out and "REGRESSION" in out
 
-    def test_check_drift_noted_but_not_gated(self, tmp_path, capsys):
+    def test_check_drift_fails(self, tmp_path, capsys):
+        # Checks are exact: a changed or missing value fails even when
+        # every timing metric is within tolerance.
+        a = _write(tmp_path, "a.json", BASELINE)
         drifted = json.loads(json.dumps(BASELINE))
         drifted["checks"]["clk_fl150_length"] = 99999
-        a = _write(tmp_path, "a.json", BASELINE)
-        b = _write(tmp_path, "b.json", drifted)
-        assert main([a, b]) == 0
-        assert "determinism drift" in capsys.readouterr().out
+        missing = json.loads(json.dumps(BASELINE))
+        del missing["checks"]["clk_fl150_length"]
+        for i, doc in enumerate((drifted, missing)):
+            b = _write(tmp_path, f"b{i}.json", doc)
+            assert main([a, b]) == 1
+            out = capsys.readouterr().out
+            assert "FAIL clk_fl150_length" in out and "DRIFT" in out
 
     def test_unsupported_format_rejected(self, tmp_path):
         bad = _write(tmp_path, "bad.json", {"format": 99, "metrics": {}})

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.localsearch import LinKernighan, LKConfig
-from repro.tsp import as_candidate_set, get_candidate_set
+from repro.tsp import as_candidate_set, generators, get_candidate_set
 from repro.tsp.candidates import (
     AlphaCandidates,
     ExplicitCandidates,
@@ -112,6 +112,23 @@ class TestCaching:
         assert not np.array_equal(
             a.lists(small_instance), b.lists(small_instance)
         )
+
+
+class TestMatrixForm:
+    def test_matrix_agrees_with_row_lists_and_pads(self):
+        # The padded matrix is the compiled LK core's input.
+        inst = generators.uniform(60, rng=12).materialize()
+        provider = get_candidate_set("quadrant", k=10)
+        rows = provider.row_lists(inst)
+        cmat, mask = provider.matrix(inst)
+        assert cmat.shape == mask.shape
+        assert cmat.shape[1] == max(len(r) for r in rows)
+        for i, row in enumerate(rows):
+            assert cmat[i, : len(row)].tolist() == row
+            assert mask[i, : len(row)].all()
+            assert not mask[i, len(row):].any()
+        assert not cmat.flags.writeable
+        assert not mask.flags.writeable
 
 
 class TestRegistry:

@@ -54,6 +54,19 @@ class TestDistView:
         b = DistView(small_instance)
         assert a.rows is b.rows  # one cached copy per instance
 
+    def test_distview_gather_matches_scalar(self):
+        # divide/repair.py's input: int64 from the matrix or from
+        # coordinate math alike.
+        inst = generators.uniform(40, rng=8)
+        dense = DistView(inst)
+        sparse = DistView(inst, prefer_rows=False)  # matrix is None
+        assert sparse.matrix is None
+        js = np.array([1, 5, 9, 20], dtype=np.intp)
+        for view in (dense, sparse):
+            got = view.gather(3, js)
+            assert got.dtype == np.int64
+            assert got.tolist() == [inst.dist(3, int(j)) for j in js]
+
 
 class TestDontLookQueue:
     def test_fifo_no_duplicates(self):
@@ -228,31 +241,24 @@ class TestCrossOperatorInvariant:
             residual = two_opt(t, candidates=provider)
             assert residual == 0, seed
 
-    def test_two_opt_deterministic_across_views(self, rng):
-        # The row fast path and the scalar fallback must take the same
-        # moves in the same order: identical tours and identical stats.
+    @pytest.mark.parametrize("op_name", ["two_opt", "or_opt", "three_opt", "lk"])
+    def test_deterministic_across_views(self, rng, op_name):
+        # The row fast path and the scalar loops (the only path on
+        # instances without a dense matrix) must take the same moves in
+        # the same order: identical tours, stats and meter charges.
+        op = get_operator(op_name)
         inst = generators.uniform(120, rng=9)
         start = random_tour(inst, rng)
         results = []
         for prefer_rows in (True, False):
             t = start.copy()
             stats = OpStats()
-            two_opt(t, stats=stats, view=DistView(inst, prefer_rows=prefer_rows))
-            results.append((t.order.tolist(), stats))
-        assert results[0][0] == results[1][0]
-        assert results[0][1] == results[1][1]
-
-    def test_or_opt_deterministic_across_views(self, rng):
-        inst = generators.uniform(120, rng=9)
-        start = random_tour(inst, rng)
-        results = []
-        for prefer_rows in (True, False):
-            t = start.copy()
-            stats = OpStats()
-            or_opt(t, stats=stats, view=DistView(inst, prefer_rows=prefer_rows))
-            results.append((t.order.tolist(), stats))
-        assert results[0][0] == results[1][0]
-        assert results[0][1] == results[1][1]
+            meter = WorkMeter()
+            op(t, stats=stats, meter=meter, kernel="row",
+               view=DistView(inst, prefer_rows=prefer_rows))
+            results.append((t.order.tolist(), stats, meter.ops))
+        assert results[0][1].moves > 0
+        assert results[0] == results[1]
 
     def test_meter_totals_identical_across_views(self, rng):
         # Virtual-time accounting must not depend on the distance path.

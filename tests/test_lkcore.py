@@ -24,7 +24,7 @@ from repro.core.session import SolveSession
 from repro.divide import DivideConfig, divide_and_optimize
 from repro.localsearch import LKConfig, lkcore
 from repro.localsearch.chained_lk import ChainedLK
-from repro.localsearch.engine import OpStats, resolve_kernel
+from repro.localsearch.engine import KERNELS, OpStats, resolve_kernel
 from repro.localsearch.lin_kernighan import LinKernighan
 from repro.tsp import generators, get_candidate_set
 from repro.tsp.candidates import CandidateSet, ExplicitCandidates
@@ -256,6 +256,80 @@ class TestWakeOrder:
 
 
 class TestKernelSelection:
+    def test_resolve_kernel_defaults_and_env(self, monkeypatch):
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+        # The C core is the default wherever it loads; row otherwise.
+        default = "compiled" if lkcore.available() else "row"
+        assert resolve_kernel(None) == default
+        assert resolve_kernel("row") == "row"
+        monkeypatch.setenv("REPRO_KERNEL", "row")
+        assert resolve_kernel(None) == "row"
+        if lkcore.available():
+            assert resolve_kernel("compiled") == "compiled"  # beats env
+        with pytest.raises(ValueError, match="unknown kernel"):
+            resolve_kernel("simd")
+
+    @pytest.mark.parametrize("name", ["vector", "scalar"])
+    def test_removed_tiers_rejected(self, monkeypatch, name):
+        # The deleted NumPy tier and the old scalar knob must fail loudly,
+        # as an argument or via the environment, never fall back.
+        known = r"known: \('row', 'compiled'\)"
+        inst = generators.uniform(30, rng=1).materialize()
+        with pytest.raises(ValueError, match=known):
+            resolve_kernel(name)
+        with pytest.raises(ValueError, match=known):
+            LinKernighan(inst, kernel=name)
+        monkeypatch.setenv("REPRO_KERNEL", name)
+        with pytest.raises(ValueError, match=known):
+            resolve_kernel(None)
+        with pytest.raises(ValueError, match=known):
+            LinKernighan(inst)
+        # The CLI offers only the two tiers.
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["clk", "fl150", "--kernel", name])
+        args = build_parser().parse_args(["clk", "fl150", "--kernel", "row"])
+        assert args.kernel == "row"
+
+    def test_lkconfig_rejects_unknown_kernel(self):
+        for name in ("turbo", "vector", "scalar"):
+            with pytest.raises(ValueError, match="unknown kernel"):
+                LKConfig(kernel=name)
+        assert LKConfig(kernel="row").kernel in KERNELS
+
+    @needs_core
+    def test_run_pipeline_threads_kernel_and_shares_view(self):
+        from repro.localsearch.engine import run_pipeline
+        from repro.obs import Tracer, use_tracer
+
+        inst = generators.uniform(70, rng=21).materialize()
+        tours = {}
+        for kern in KERNELS:
+            tracer = Tracer(enabled=True)
+            tour = random_tour(inst, ensure_rng(5))
+            with use_tracer(tracer):
+                run_pipeline(tour, ("two_opt", "or_opt", "lk"),
+                             candidates="knn", kernel=kern)
+            tours[kern] = (tour.order.tolist(), tour.length)
+            for op_name in ("two_opt", "or_opt", "lk"):
+                assert tracer.metrics.counter_value(
+                    "engine.kernel_calls", op=op_name, kernel=kern
+                ) == 1
+        assert tours["row"] == tours["compiled"]
+
+    @needs_core
+    def test_driver_solve_kernel_override(self):
+        inst = generators.uniform(60, rng=9).materialize()
+        results = [
+            solve(inst, budget_vsec_per_node=0.05, n_nodes=2,
+                  kernel=kern, rng=1)
+            for kern in KERNELS
+        ]
+        assert results[0].best_length == results[1].best_length
+        assert (results[0].best_tour.order.tolist()
+                == results[1].best_tour.order.tolist())
+
     @needs_core
     def test_default_is_compiled_when_core_loads(self, monkeypatch):
         monkeypatch.delenv("REPRO_KERNEL", raising=False)

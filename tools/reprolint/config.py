@@ -88,12 +88,10 @@ DEFAULT_SCOPES: dict[str, RuleScope] = {
     # Operator hot-loop modules must route distance access through
     # DistView (row caches); raw instance.dist calls there bypass the
     # row cache and, worse, invite unsorted-row candidate scans.
-    # kernels.py is in scope too — its scalar paths obey the same
-    # contract — but carries a documented matrix-indexing exception
-    # (Config.matrix_ok below): vectorized gather over view.matrix IS
-    # its job, while instance.dist stays banned there like everywhere.
-    # lkcore.py (the compiled tier's ctypes wrapper) has the same
-    # exception: it hands view.matrix to the C core as a raw buffer.
+    # lkcore.py (the compiled tier's ctypes wrapper) is in scope too but
+    # carries a documented matrix-indexing exception (Config.matrix_ok
+    # below): it hands view.matrix to the C core as a raw buffer, while
+    # instance.dist stays banned there like everywhere.
     # The boundary-repair module hosts the divide pipeline's hot loop
     # (stitching scans + the restricted 2-opt/or-opt pass), so it obeys
     # the same DistView discipline as the operator modules.
@@ -103,7 +101,6 @@ DEFAULT_SCOPES: dict[str, RuleScope] = {
             "src/repro/localsearch/or_opt.py",
             "src/repro/localsearch/three_opt.py",
             "src/repro/localsearch/lin_kernighan.py",
-            "src/repro/localsearch/kernels.py",
             "src/repro/localsearch/lkcore.py",
             "src/repro/divide/repair.py",
         ),
@@ -157,15 +154,12 @@ DEFAULT_WIRE_TYPES: dict[str, tuple[str, ...]] = {
 #: mutable state across process boundaries is exactly the bug class this
 #: rule guards against.
 #: Modules allowed to index ``view.matrix`` directly inside the RPL003
-#: scope.  The vector kernel tier's whole purpose is batched NumPy
-#: gathers over the dense matrix (docs/ALGORITHMS.md, "Scan-kernel
-#: tiers"), so the matrix-subscript half of RPL003 would flag every
-#: line of it; the instance.dist half still applies in full.  The
-#: compiled tier's wrapper passes the dense matrix to C as one buffer,
-#: so it shares the exception.  This is a scoped, reviewable exception —
-#: not a suppression comment in the file.
+#: scope.  The compiled tier's wrapper passes the dense matrix to C as
+#: one buffer (docs/ALGORITHMS.md §6a), so the matrix-subscript half of
+#: RPL003 would flag its binding code; the instance.dist half still
+#: applies in full.  This is a scoped, reviewable exception — not a
+#: suppression comment in the file.
 DEFAULT_MATRIX_OK: tuple[str, ...] = (
-    "src/repro/localsearch/kernels.py",
     "src/repro/localsearch/lkcore.py",
 )
 
@@ -201,7 +195,7 @@ class Config:
     )
     picklable_names: tuple[str, ...] = DEFAULT_PICKLABLE_NAMES
     #: Path fragments where RPL003's matrix-subscript check is waived
-    #: (vectorized kernels gather from the dense matrix by design).
+    #: (the compiled core's wrapper hands the dense matrix to C).
     matrix_ok: tuple[str, ...] = DEFAULT_MATRIX_OK
 
     def scope_for(self, rule_id: str) -> RuleScope:
