@@ -7,10 +7,7 @@ the engine show up even when the virtual-time results stay identical.
 
 ``test_engine_ops_per_sec`` additionally writes ``BENCH_engine.json``
 at the repository root: wall-clock ops/sec per operator per candidate
-set on an n=1000 geometric instance, plus the row-cached-vs-scalar
-DistView comparison that justifies the engine's fast path (the
-acceptance bar is a >= 1.5x speedup for 2-opt and Or-opt).
-``test_clk_end_to_end_by_kernel`` merges an end-to-end CLK run per
+set on an n=1000 geometric instance.  ``test_clk_end_to_end_by_kernel`` merges an end-to-end CLK run per
 kernel tier (wall seconds, kicks per wall-second, identical tours), and
 ``test_batched_vs_serial_kicks`` a ``batched_kicks`` entry into
 the same file: wall clock of the batched best-of-N kick stage (width 4,
@@ -31,7 +28,6 @@ from repro.bounds import minimum_one_tree
 from repro.construct import quick_boruvka
 from repro.localsearch import (
     ChainedLK,
-    DistView,
     LinKernighan,
     LKConfig,
     OpStats,
@@ -118,24 +114,21 @@ def _kicked_starts(inst, n_tours=12, kicks=25, seed=20260805):
     return starts
 
 
-def _timed_run(op_name, starts, provider, view=None):
+def _timed_run(op_name, starts, provider):
     """Best-of-_REPEATS (elapsed, stats) over one pass of all starts.
 
     Every repeat works on copies of the same tours, so the work done
-    (and hence the stats) is identical across repeats and across views
-    — only the wall-clock changes.
+    (and hence the stats) is identical across repeats — only the
+    wall-clock changes.
     """
     op = get_operator(op_name)
     best = None
     for _ in range(_REPEATS):
         tours = [t.copy() for t in starts]
         stats = OpStats()
-        kwargs = {"candidates": provider, "stats": stats}
-        if view is not None:
-            kwargs["view"] = view
         t0 = time.perf_counter()
         for tour in tours:
-            op(tour, **kwargs)
+            op(tour, candidates=provider, stats=stats)
         elapsed = time.perf_counter() - t0
         if best is None or elapsed < best[0]:
             best = (elapsed, stats)
@@ -151,7 +144,7 @@ def inst1000():
 
 
 def test_engine_ops_per_sec(inst1000):
-    """Ops/sec per operator per candidate set; row vs scalar DistView."""
+    """Ops/sec per operator per candidate set."""
     inst = inst1000
     starts = _kicked_starts(inst)
     providers = {name: get_candidate_set(name, k=8) for name in _CAND_SETS}
@@ -167,7 +160,6 @@ def test_engine_ops_per_sec(inst1000):
         # other operators run it as row).
         "kernel": resolve_kernel(None),
         "ops_per_sec": {},
-        "row_vs_scalar": {},
     }
 
     print_banner(
@@ -183,30 +175,6 @@ def test_engine_ops_per_sec(inst1000):
             report["ops_per_sec"][op_name][cname] = round(rate, 1)
             emit(f"  {op_name:9s} {cname:9s} {rate:12,.0f} ops/s "
                  f"(gain {stats.gain}, {stats.moves} moves)")
-
-    emit("row-cached DistView vs scalar instance.dist:")
-    scalar_view = DistView(inst, prefer_rows=False)
-    assert scalar_view.rows is None
-    for op_name in ("two_opt", "or_opt"):
-        provider = providers["knn"]
-        t_row, s_row = _timed_run(op_name, starts, provider)
-        t_scalar, s_scalar = _timed_run(
-            op_name, starts, provider, view=scalar_view
-        )
-        # Same tour, same candidates -> identical work either way.
-        assert _engine_ops(s_row) == _engine_ops(s_scalar)
-        speedup = t_scalar / t_row
-        report["row_vs_scalar"][op_name] = {
-            "row_ops_per_sec": round(_engine_ops(s_row) / t_row, 1),
-            "scalar_ops_per_sec": round(_engine_ops(s_scalar) / t_scalar, 1),
-            "speedup": round(speedup, 2),
-        }
-        emit(f"  {op_name:9s} row {_engine_ops(s_row) / t_row:12,.0f} ops/s"
-             f"   scalar {_engine_ops(s_scalar) / t_scalar:12,.0f} ops/s"
-             f"   speedup {speedup:.2f}x")
-        assert speedup >= 1.5, (
-            f"{op_name}: row-cached path only {speedup:.2f}x faster"
-        )
 
     _BENCH_JSON.write_text(json.dumps(report, indent=1) + "\n")
     emit(f"wrote {_BENCH_JSON.name}")

@@ -7,8 +7,9 @@ machinery, factored out here so they are written (and optimized) once:
 * :class:`DistView` — row-cached distance access.  Scalar numpy indexing
   (``int(matrix[i, j])``) is ~3x slower in the hot loops than indexing
   nested Python lists; the view exposes the cached list-of-lists form of
-  the distance matrix when it is affordable and falls back to the
-  instance's scalar closure otherwise.
+  the distance matrix when it is affordable, and otherwise rows that
+  compute each coordinate distance on first read and keep it, so every
+  operator indexes ``rows[i][j]`` in its one scan loop either way.
 * :class:`DontLookQueue` — the don't-look-bits work queue (FIFO deque plus
   a membership bool array) that restricts attention to recently touched
   cities.
@@ -50,8 +51,8 @@ __all__ = [
 #: row-cached nested-list scan loops), and ``compiled`` runs whole LK
 #: calls in the C core of :mod:`repro.localsearch.lkcore` (the other
 #: operators treat it as ``row``).  Both select bit-identical move
-#: sequences.  Instances without a dense matrix (``DistView.rows is
-#: None``) run each operator's scalar loops, whatever the tier.
+#: sequences.  Instances without a dense matrix (``DistView.matrix is
+#: None``) run the row loops over coordinate rows, whatever the tier.
 KERNELS = ("row", "compiled")
 
 
@@ -78,41 +79,61 @@ def resolve_kernel(kernel: Optional[str] = None) -> str:
     return kernel
 
 
-class DistView:
-    """Row-cached distance access with ``instance.dist`` fallback.
+class _CoordRow(dict):
+    """One city's distances, each computed on first read and kept."""
 
-    ``view.dist(i, j)`` is the uniform scalar entry point; hot loops that
-    scan one city's candidates should grab ``view.row(i)`` once and index
-    it directly (``row[j]``), falling back to ``view.dist`` only when
-    :attr:`rows` is ``None`` (dense matrix not affordable).  The nested
-    lists come from :meth:`TSPInstance.matrix_row_lists` and are shared
-    across all views of the same instance.
+    __slots__ = ("_i", "_dist")
+
+    def __init__(self, i: int, dist):
+        self._i = i
+        self._dist = dist
+
+    def __missing__(self, j):
+        d = self[j] = self._dist(self._i, j)
+        return d
+
+
+class _CoordRows(dict):
+    """City -> :class:`_CoordRow`, created on first read."""
+
+    __slots__ = ("_dist",)
+
+    def __init__(self, dist):
+        self._dist = dist
+
+    def __missing__(self, i):
+        row = self[i] = _CoordRow(i, self._dist)
+        return row
+
+
+class DistView:
+    """Row-cached distance access: ``view.rows[i][j]`` on every instance.
+
+    With an affordable dense matrix, :attr:`rows` is the nested-list form
+    from :meth:`TSPInstance.matrix_row_lists`, shared across all views of
+    the instance.  Without one (above ``_DENSE_LIMIT``) it is a per-view
+    map of coordinate rows: each row is created on first use and each
+    ``rows[i][j]`` calls ``instance.dist`` once, then hits a dict.  Hot
+    loops grab ``rows[i]`` once per scan and index it directly;
+    :meth:`dist` is the scalar entry point for everything else.
     """
 
-    __slots__ = ("rows", "matrix", "_fn", "_inst")
+    __slots__ = ("rows", "matrix", "_inst")
 
-    def __init__(self, instance, prefer_rows: bool = True):
-        self.rows = instance.matrix_row_lists() if prefer_rows else None
+    def __init__(self, instance):
         #: Dense int64 matrix (the compiled core's input and
         #: :meth:`gather`'s fast path), or ``None`` when it is not
         #: affordable.
-        self.matrix = instance.dense_matrix() if prefer_rows else None
-        # The scalar closure is bound even when rows exist so benches can
-        # compare both paths on one instance.
-        self._fn = instance.dist
+        self.matrix = instance.dense_matrix()
+        self.rows = (
+            _CoordRows(instance.dist) if self.matrix is None
+            else instance.matrix_row_lists()
+        )
         self._inst = instance
 
     def dist(self, i: int, j: int) -> int:
-        """Distance between cities ``i`` and ``j`` (fast path when cached)."""
-        rows = self.rows
-        if rows is not None:
-            return rows[i][j]
-        return self._fn(i, j)
-
-    def row(self, i: int):
-        """City ``i``'s distance row as a plain list, or ``None``."""
-        rows = self.rows
-        return rows[i] if rows is not None else None
+        """Distance between cities ``i`` and ``j``."""
+        return self.rows[i][j]
 
     def gather(self, i: int, js) -> np.ndarray:
         """Vectorized distances from ``i`` to index array ``js`` (int64).

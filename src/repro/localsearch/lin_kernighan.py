@@ -132,11 +132,10 @@ class LinKernighan:
         self._dlq = DontLookQueue(instance.n)
         self.stats = OpStats()
         # Hot-loop distance access: plain nested lists beat numpy scalar
-        # indexing by ~3x; the view falls back to the instance closure
-        # when the dense matrix would not fit.  Rows are cached on the
+        # indexing by ~3x; without a dense matrix the view serves
+        # coordinate rows instead.  Dense rows are cached on the
         # instance, so the nodes of a distributed run share one copy.
         self.view = view if view is not None else DistView(instance)
-        self._dist_rows = self.view.rows
         # Kernel tier: explicit arg wins over the config knob, which wins
         # over the REPRO_KERNEL env default.  The compiled core needs the
         # dense matrix; without it the row loops run (and self.kernel
@@ -235,9 +234,6 @@ class LinKernighan:
         stats.queue_wakeups += queue.wakeups - wakeups0
         return total
 
-    def _dist(self, i: int, j: int) -> int:
-        return self.view.dist(i, j)
-
     def _apply_flip(self, tour: Tour, t1: int, u: int, v: int, w: int,
                     meter: WorkMeter) -> int:
         """2-opt flip removing ``{t1,u}, {v,w}``, adding ``{t1,w}, {u,v}``.
@@ -285,9 +281,8 @@ class LinKernighan:
         Yields at most ``breadth`` pairs ordered by the lookahead score
         ``g_open - d(u, v) + d(v, w)``.
         """
-        rows = self._dist_rows
-        du = rows[u] if rows is not None else None
-        dist = None if du is not None else self.view.dist
+        rows = self.view.rows
+        du = rows[u]
         forward = tour.next(t1) == u
         order = tour.order
         position = tour.position
@@ -296,7 +291,7 @@ class LinKernighan:
         scanned = 0
         for v in self._neighbor_rows[u]:
             scanned += 1
-            duv = du[v] if du is not None else dist(u, v)
+            duv = du[v]
             if duv >= g_open:
                 break  # sorted by distance: no further candidate has gain
             if v == t1 or v == u:
@@ -314,7 +309,7 @@ class LinKernighan:
                 continue
             if fixed is not None and (v, w) in fixed:
                 continue
-            dvw = rows[v][w] if rows is not None else dist(v, w)
+            dvw = rows[v][w]
             out.append((g_open - duv + dvw, duv, dvw, v, w))
         meter.tick(scanned)
         self.stats.candidate_scans += scanned
@@ -382,7 +377,7 @@ class LinKernighan:
                 undo_to(len(flips) - 1)
             return False
 
-        dfs(u0, float(self._dist(t1, u0)), 0, 0)
+        dfs(u0, float(self.view.dist(t1, u0)), 0, 0)
         if best_delta < 0:
             undo_to(best_len)
             return -best_delta, tuple(touched)

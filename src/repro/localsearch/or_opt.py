@@ -54,7 +54,6 @@ def or_opt(tour: Tour, neighbor_k: int = 8, max_seg: int = 3,
     view = view if view is not None else DistView(inst)
     neighbor_rows = provider.row_lists(inst)
     rows = view.rows
-    dist = view.dist
 
     queue = DontLookQueue(n)
     queue.fill(range(n))
@@ -81,80 +80,45 @@ def or_opt(tour: Tour, neighbor_k: int = 8, max_seg: int = 3,
             after = order_item((p0 + seg_len) % n)
             if before in seg or after in seg:
                 continue
-            if rows is not None:
-                # Row fast path: inlined successor lookup, orientation
-                # test unrolled, work ticked in one batch per scan.
-                removed = (
-                    rows[before][s0]
-                    + rows[last][after]
-                    - rows[before][after]
-                )
-                cnt = 0
-                for c in nbr_s0:
-                    cnt += 1
-                    if c in seg or c == before:
-                        continue
-                    p = pos_item(c) + 1
-                    cn = order_item(p if p < n else 0)
-                    if cn in seg:
-                        continue
-                    dc = rows[c]
-                    d_cn = rows[cn]
-                    base = dc[cn] + removed
-                    # Insert the segment (possibly reversed) after c;
-                    # forward orientation is tried first, as before.
-                    delta = dc[s0] + d_cn[last] - base
+            # Inlined successor lookup, orientation test unrolled, work
+            # ticked in one batch per scan.
+            removed = (
+                rows[before][s0]
+                + rows[last][after]
+                - rows[before][after]
+            )
+            cnt = 0
+            for c in nbr_s0:
+                cnt += 1
+                if c in seg or c == before:
+                    continue
+                p = pos_item(c) + 1
+                cn = order_item(p if p < n else 0)
+                if cn in seg:
+                    continue
+                dc = rows[c]
+                d_cn = rows[cn]
+                base = dc[cn] + removed
+                # Insert the segment (possibly reversed) after c; forward
+                # orientation is tried first.
+                delta = dc[s0] + d_cn[last] - base
+                if delta >= 0:
+                    delta = dc[last] + d_cn[s0] - base
                     if delta >= 0:
-                        delta = dc[last] + d_cn[s0] - base
-                        if delta >= 0:
-                            continue
-                        seg.reverse()
-                    _do_relocate(tour, seg, c)
-                    meter.tick(n // 4 + 1)
-                    swaps += len(seg)
-                    moves += 1
-                    tour.length += delta
-                    total -= delta
-                    for city in (before, after, c, cn, *seg):
-                        queue.push(int(city))
-                    moved = True
-                    break
-                meter.tick(cnt)
-                scanned += cnt
-            else:
-                # Scalar fallback (dense matrix not affordable); kept in
-                # the pre-engine shape — this is the path the DistView
-                # bench compares against.
-                removed = (
-                    dist(before, s0) + dist(last, after)
-                    - dist(before, after)
-                )
-                for c in nbr_s0:
-                    meter.tick()
-                    scanned += 1
-                    if c in seg or c == before:
                         continue
-                    cn = tour.next(c)
-                    if cn in seg:
-                        continue
-                    for head, tail in ((s0, last), (last, s0)):
-                        added = dist(c, head) + dist(tail, cn) - dist(c, cn)
-                        delta = added - removed
-                        if delta < 0:
-                            if head != s0:
-                                seg.reverse()
-                            _do_relocate(tour, seg, c)
-                            meter.tick(n // 4 + 1)
-                            swaps += len(seg)
-                            moves += 1
-                            tour.length += delta
-                            total -= delta
-                            for city in (before, after, c, cn, *seg):
-                                queue.push(int(city))
-                            moved = True
-                            break
-                    if moved:
-                        break
+                    seg.reverse()
+                _do_relocate(tour, seg, c)
+                meter.tick(n // 4 + 1)
+                swaps += len(seg)
+                moves += 1
+                tour.length += delta
+                total -= delta
+                for city in (before, after, c, cn, *seg):
+                    queue.push(int(city))
+                moved = True
+                break
+            meter.tick(cnt)
+            scanned += cnt
             if moved:
                 break
     stats.calls += 1

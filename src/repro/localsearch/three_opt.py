@@ -102,10 +102,7 @@ def three_opt(tour: Tour, neighbor_k: int = 6,
     neighbor_rows = provider.row_lists(inst)
     view = view if view is not None else DistView(inst)
     rows = view.rows
-    dist = view.dist
-
-    def d(i, j):
-        return rows[i][j] if rows is not None else dist(i, j)
+    d = view.dist
 
     # 3-opt subsumes 2-opt; reach the 2-opt fixpoint first so the triple
     # scan below only hunts for genuine 3-exchanges.
@@ -125,8 +122,8 @@ def three_opt(tour: Tour, neighbor_k: int = 6,
         nonlocal scanned, swaps
         pa = int(tour.position[a])
         b = tour.next(a)
-        da = rows[a] if rows is not None else None
-        d_ab = da[b] if da is not None else dist(a, b)
+        da = rows[a]
+        d_ab = da[b]
         for c in neighbor_rows[a]:
             meter.tick()
             scanned += 1
@@ -134,7 +131,7 @@ def three_opt(tour: Tour, neighbor_k: int = 6,
                 continue
             d_cd = d(c, tour.next(c))
             g1 = d_ab + d_cd
-            d_ac = da[c] if da is not None else dist(a, c)
+            d_ac = da[c]
             if d_ac >= g1:
                 continue
             for e in neighbor_rows[b]:

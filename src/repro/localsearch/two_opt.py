@@ -35,8 +35,8 @@ def two_opt(tour: Tour, neighbor_k: int = 8, meter: WorkMeter | None = None,
     a move boundary once ``meter`` is exhausted.  ``candidates`` is a
     :class:`~repro.tsp.candidates.CandidateSet`, registry name, or raw
     array; the default is plain k-NN of width ``neighbor_k``.  ``view``
-    overrides the distance access (benchmarks use this to compare the
-    row-cached and scalar paths).  ``kernel`` names the engine tier
+    shares one :class:`~repro.localsearch.engine.DistView` across the
+    operators of a pipeline.  ``kernel`` names the engine tier
     (``"row"``/``"compiled"``, default via
     :func:`~repro.localsearch.engine.resolve_kernel`); 2-opt has no
     compiled loop, so both run the row loops.
@@ -53,7 +53,6 @@ def two_opt(tour: Tour, neighbor_k: int = 8, meter: WorkMeter | None = None,
     view = view if view is not None else DistView(inst)
     neighbor_rows = provider.row_lists(inst)
     rows = view.rows
-    dist = view.dist
 
     queue = DontLookQueue(n)
     queue.fill(range(n))
@@ -71,98 +70,57 @@ def two_opt(tour: Tour, neighbor_k: int = 8, meter: WorkMeter | None = None,
     while queue and not meter.exhausted():
         a = queue.pop()
         nbr_a = neighbor_rows[a]
-        da = rows[a] if rows is not None else None
+        da = rows[a]
         improved_here = True
         while improved_here and not meter.exhausted():
             improved_here = False
             for b, forward in (
                 (tour.next(a), True), (tour.prev(a), False)
             ):
-                if da is not None:
-                    # Row fast path: one list per endpoint, successor
-                    # lookup inlined, work ticked in one batch per scan.
-                    d_ab = da[b]
-                    db = rows[b]
-                    cnt = 0
-                    for c in nbr_a:
-                        cnt += 1
-                        d_ac = da[c]
-                        if d_ac >= d_ab:
-                            break  # neighbours sorted by distance
-                        if c == b:
-                            continue
-                        # Orient: the move removes (a,b) and (c,d) where
-                        # d is c's neighbour on the b side of a.
+                # One row per endpoint, successor lookup inlined, work
+                # ticked in one batch per scan.
+                d_ab = da[b]
+                db = rows[b]
+                cnt = 0
+                for c in nbr_a:
+                    cnt += 1
+                    d_ac = da[c]
+                    if d_ac >= d_ab:
+                        break  # neighbours sorted by distance
+                    if c == b:
+                        continue
+                    # Orient: the move removes (a,b) and (c,d) where d is
+                    # c's neighbour on the b side of a.
+                    if forward:
+                        p = pos_item(c) + 1
+                        d_city = order_item(p if p < n else 0)
+                    else:
+                        d_city = order_item(pos_item(c) - 1)
+                    if d_city == a:
+                        continue
+                    delta = d_ac + db[d_city] - d_ab - rows[c][d_city]
+                    if delta < 0:
                         if forward:
-                            p = pos_item(c) + 1
-                            d_city = order_item(p if p < n else 0)
+                            # remove (a->b), (c->d): reverse b..c
+                            moved = tour.reverse_segment(
+                                position[b], position[c]
+                            )
                         else:
-                            d_city = order_item(pos_item(c) - 1)
-                        if d_city == a:
-                            continue
-                        delta = d_ac + db[d_city] - d_ab - rows[c][d_city]
-                        if delta < 0:
-                            if forward:
-                                # remove (a->b), (c->d): reverse b..c
-                                moved = tour.reverse_segment(
-                                    position[b], position[c]
-                                )
-                            else:
-                                # remove (b->a), (d->c): reverse a..d
-                                moved = tour.reverse_segment(
-                                    position[a], position[d_city]
-                                )
-                            meter.tick(moved if moved else 1)
-                            swaps += moved
-                            moves += 1
-                            tour.length += delta
-                            total -= delta
-                            for city in (a, b, c, d_city):
-                                push(int(city))
-                            improved_here = True
-                            break
-                    meter.tick(cnt)
-                    scanned += cnt
-                else:
-                    # Scalar fallback (dense matrix not affordable); kept
-                    # in the pre-engine shape — this is the path the
-                    # DistView bench compares against.
-                    d_ab = dist(a, b)
-                    for c in nbr_a:
-                        meter.tick()
-                        scanned += 1
-                        d_ac = dist(a, c)
-                        if d_ac >= d_ab:
-                            break
-                        if c == b:
-                            continue
-                        d_city = (
-                            tour.next(c) if b == tour.next(a)
-                            else tour.prev(c)
-                        )
-                        if d_city == a:
-                            continue
-                        delta = (
-                            d_ac + dist(b, d_city) - d_ab - dist(c, d_city)
-                        )
-                        if delta < 0:
-                            if forward:
-                                moved = tour.reverse_segment(
-                                    position[b], position[c]
-                                )
-                            else:
-                                moved = tour.reverse_segment(
-                                    position[a], position[d_city]
-                                )
-                            meter.tick(moved if moved else 1)
-                            swaps += moved
-                            moves += 1
-                            tour.length += delta
-                            total -= delta
-                            for city in (a, b, c, d_city):
-                                push(int(city))
-                            improved_here = True
-                            break
+                            # remove (b->a), (d->c): reverse a..d
+                            moved = tour.reverse_segment(
+                                position[a], position[d_city]
+                            )
+                        meter.tick(moved if moved else 1)
+                        swaps += moved
+                        moves += 1
+                        tour.length += delta
+                        total -= delta
+                        for city in (a, b, c, d_city):
+                            push(int(city))
+                        improved_here = True
+                        break
+                meter.tick(cnt)
+                scanned += cnt
                 if improved_here:
                     break
     stats.calls += 1

@@ -153,8 +153,10 @@ def row_distances(
 def distance_closure(coords: np.ndarray, edge_weight_type: str = "EUC_2D"):
     """Return a scalar ``dist(i, j) -> int`` closure for the given metric.
 
-    The closure is the slow-but-universal path used by correctness tests and
-    by code that touches too few pairs to justify vectorization.
+    The closure backs ``TSPInstance.dist`` on matrix-free instances: the
+    coordinate rows of :class:`~repro.localsearch.engine.DistView` call
+    it once per pair they read, and code that touches too few pairs to
+    justify vectorization calls it directly.
     """
     coords = _as_coords(coords)
     if edge_weight_type == "GEO":

@@ -26,41 +26,70 @@ from repro.localsearch import (
     two_opt,
 )
 from repro.tsp import generators, get_candidate_set
-from repro.tsp.tour import random_tour
+from repro.tsp.distances import EDGE_WEIGHT_TYPES
+from repro.tsp.instance import TSPInstance
+from repro.tsp.tour import Tour, random_tour
 from repro.utils.rng import ensure_rng
 from repro.utils.work import WorkMeter
 
 
-class TestDistView:
-    def test_row_and_scalar_paths_agree(self, small_instance):
-        row = DistView(small_instance)
-        scalar = DistView(small_instance, prefer_rows=False)
-        assert row.rows is not None
-        assert scalar.rows is None
-        for i in (0, 7, 31):
-            for j in (3, 17, 59):
-                assert row.dist(i, j) == scalar.dist(i, j)
-                assert row.dist(i, j) == small_instance.dist(i, j)
+DENSE_LIMIT_ATTR = "repro.tsp.instance._DENSE_LIMIT"
 
-    def test_row_access(self, small_instance):
-        view = DistView(small_instance)
-        r = view.row(5)
-        assert r is view.rows[5]
-        assert r[9] == small_instance.dist(5, 9)
-        assert DistView(small_instance, prefer_rows=False).row(5) is None
+
+def _matrix_free_twin(inst, monkeypatch):
+    """``inst``'s coordinates as a second, matrix-free instance.
+
+    ``inst`` is materialized first, so it keeps its dense matrix after
+    the dense limit drops below ``n``.
+    """
+    inst.materialize()
+    monkeypatch.setattr(DENSE_LIMIT_ATTR, inst.n - 1)
+    twin = TSPInstance(coords=inst.coords,
+                       edge_weight_type=inst.edge_weight_type)
+    assert DistView(twin).matrix is None
+    return twin
+
+
+class TestDistView:
+    def test_coordinate_rows_match_instance_dist(self, monkeypatch):
+        # Without a dense matrix the view serves coordinate rows; every
+        # metric (GEO included, and the i == j diagonal) must read
+        # exactly what instance.dist computes.
+        monkeypatch.setattr(DENSE_LIMIT_ATTR, 10)
+        coords = ensure_rng(3).uniform(-80.0, 80.0, size=(30, 2))
+        for ewt in EDGE_WEIGHT_TYPES:
+            if ewt == "EXPLICIT":
+                # EXPLICIT instances are their matrix: always dense rows.
+                inst = generators.random_matrix(12, rng=3)
+                view = DistView(inst)
+                assert view.rows is inst.matrix_row_lists()
+            else:
+                inst = TSPInstance(coords=coords, edge_weight_type=ewt)
+                view = DistView(inst)
+                assert view.matrix is None
+            n = inst.n
+            for i in range(n):
+                for j in range(n):
+                    assert view.rows[i][j] == inst.dist(i, j), (ewt, i, j)
+                    assert view.dist(i, j) == inst.dist(i, j)
+        # A matrix-free operator run keeps its rows on the view: the
+        # instance's shared row cache stays empty.
+        inst = TSPInstance(coords=coords)
+        two_opt(random_tour(inst, ensure_rng(1)))
+        assert inst.matrix_row_lists() is None
+        assert inst._matrix_rows is None
 
     def test_rows_shared_across_views(self, small_instance):
         a = DistView(small_instance)
         b = DistView(small_instance)
         assert a.rows is b.rows  # one cached copy per instance
 
-    def test_distview_gather_matches_scalar(self):
+    def test_distview_gather_matches_scalar(self, monkeypatch):
         # divide/repair.py's input: int64 from the matrix or from
         # coordinate math alike.
         inst = generators.uniform(40, rng=8)
         dense = DistView(inst)
-        sparse = DistView(inst, prefer_rows=False)  # matrix is None
-        assert sparse.matrix is None
+        sparse = DistView(_matrix_free_twin(inst, monkeypatch))
         js = np.array([1, 5, 9, 20], dtype=np.intp)
         for view in (dense, sparse):
             got = view.gather(3, js)
@@ -242,35 +271,23 @@ class TestCrossOperatorInvariant:
             assert residual == 0, seed
 
     @pytest.mark.parametrize("op_name", ["two_opt", "or_opt", "three_opt", "lk"])
-    def test_deterministic_across_views(self, rng, op_name):
-        # The row fast path and the scalar loops (the only path on
-        # instances without a dense matrix) must take the same moves in
-        # the same order: identical tours, stats and meter charges.
+    def test_deterministic_across_views(self, rng, op_name, monkeypatch):
+        # Dense rows and coordinate rows (the path on instances without
+        # a dense matrix) must take the same moves in the same order:
+        # identical tours, stats and meter charges (virtual time must
+        # not depend on the distance path).
         op = get_operator(op_name)
         inst = generators.uniform(120, rng=9)
-        start = random_tour(inst, rng)
+        start = random_tour(inst, rng).order
         results = []
-        for prefer_rows in (True, False):
-            t = start.copy()
+        for view_inst in (inst, _matrix_free_twin(inst, monkeypatch)):
+            t = Tour(view_inst, start.copy())
             stats = OpStats()
             meter = WorkMeter()
-            op(t, stats=stats, meter=meter, kernel="row",
-               view=DistView(inst, prefer_rows=prefer_rows))
+            op(t, stats=stats, meter=meter, kernel="row")
             results.append((t.order.tolist(), stats, meter.ops))
         assert results[0][1].moves > 0
         assert results[0] == results[1]
-
-    def test_meter_totals_identical_across_views(self, rng):
-        # Virtual-time accounting must not depend on the distance path.
-        inst = generators.uniform(100, rng=13)
-        start = random_tour(inst, rng)
-        ops = []
-        for prefer_rows in (True, False):
-            t = start.copy()
-            meter = WorkMeter()
-            two_opt(t, meter=meter, view=DistView(inst, prefer_rows=prefer_rows))
-            ops.append(meter.ops)
-        assert ops[0] == ops[1]
 
 
 class TestBaselineCandidateWiring:

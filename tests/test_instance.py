@@ -217,4 +217,4 @@ class TestSharedRowCaches:
         lk1 = LinKernighan(small_instance)
         lk2 = LinKernighan(small_instance)
         assert lk1._neighbor_rows is lk2._neighbor_rows
-        assert lk1._dist_rows is lk2._dist_rows
+        assert lk1.view.rows is lk2.view.rows

@@ -284,8 +284,8 @@ class NoRawDistanceRule(Rule):
                     yield self.violation(
                         path, node,
                         f"raw {recv.id}.{attr}() in an operator hot-loop "
-                        "module; route through DistView (view.dist / "
-                        "view.row)",
+                        "module; route through DistView (view.rows / "
+                        "view.dist)",
                     )
                 elif isinstance(recv, ast.Attribute) and recv.attr == "instance":
                     yield self.violation(
